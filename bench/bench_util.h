@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/csv.h"
@@ -160,6 +161,47 @@ inline bool WriteFile(const char* path, const std::string& content) {
   std::fwrite(content.data(), 1, content.size(), out);
   std::fclose(out);
   return true;
+}
+
+/// Commit of the source tree the bench was built from, with "-dirty" when
+/// it has uncommitted changes; "none" outside a git checkout.
+inline std::string GitSha() {
+  std::FILE* pipe = popen("git -C '" QATK_SOURCE_DIR
+                          "' describe --always --dirty --abbrev=40 "
+                          "2>/dev/null",
+                          "r");
+  if (pipe == nullptr) return "none";
+  std::string out;
+  char buf[128];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  pclose(pipe);
+  const std::string sha(Trim(out));
+  return sha.empty() ? "none" : sha;
+}
+
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    return std::string(Trim(line.substr(colon + 1)));
+  }
+  return "unknown";
+}
+
+/// Writes a BENCH_*.json result's provenance keys into the open object:
+/// source commit, compiler, build type, core count and CPU model, so a
+/// committed result says where it was measured.
+inline void WriteProvenance(JsonWriter* json) {
+  json->Key("git_sha").Value(GitSha());
+  json->Key("compiler").Value(QATK_BENCH_COMPILER);
+  json->Key("build_type").Value(QATK_BENCH_BUILD_TYPE);
+  json->Key("cores").Value(
+      static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  json->Key("cpu_model").Value(CpuModel());
 }
 
 /// Runs the standard 5-fold evaluation for one probe mask and prints the

@@ -222,7 +222,7 @@ void DomainWorld::BuildParts(Rng* rng) {
 
   for (size_t p = 0; p < n; ++p) {
     PartSpec part;
-    char buf[8];
+    char buf[24];  // "P" + up to 20 digits of a size_t + NUL.
     std::snprintf(buf, sizeof(buf), "P%02zu", p + 1);
     part.part_id = buf;
 

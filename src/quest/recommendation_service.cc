@@ -194,8 +194,7 @@ RecommendationService::RecommendationService(const tax::Taxonomy* taxonomy,
     : taxonomy_(taxonomy),
       options_(options),
       state_(std::make_shared<const TrainedState>()),
-      classifier_({options.similarity, options.max_nodes,
-                   options.prune_topk}) {}
+      classifier_({options.similarity, options.max_nodes}) {}
 
 std::shared_ptr<const RecommendationService::TrainedState>
 RecommendationService::Snapshot() const {

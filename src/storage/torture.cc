@@ -77,8 +77,8 @@ std::string RandomVal(Rng* rng) {
 
 std::vector<Op> BuildScript(const TortureOptions& options, Rng* rng) {
   std::vector<Op> script;
-  script.push_back({Op::kCreateTable});
-  script.push_back({Op::kCreateIndex});
+  script.push_back({Op::kCreateTable, 0, ""});
+  script.push_back({Op::kCreateIndex, 0, ""});
   int64_t next_id = 0;
   std::vector<int64_t> live;
   for (int i = 0; i < options.seed_rows; ++i) {
@@ -89,7 +89,7 @@ std::vector<Op> BuildScript(const TortureOptions& options, Rng* rng) {
     live.push_back(op.id);
     script.push_back(std::move(op));
   }
-  script.push_back({Op::kCheckpoint});
+  script.push_back({Op::kCheckpoint, 0, ""});
   for (int i = 0; i < options.num_ops; ++i) {
     double roll = rng->NextDouble();
     Op op;
@@ -113,7 +113,7 @@ std::vector<Op> BuildScript(const TortureOptions& options, Rng* rng) {
     script.push_back(std::move(op));
   }
   // End on a checkpoint so a run the crash never reaches closes cleanly.
-  script.push_back({Op::kCheckpoint});
+  script.push_back({Op::kCheckpoint, 0, ""});
   return script;
 }
 

@@ -23,7 +23,6 @@
 #include "kb/data_bundle.h"
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
-#include "obs/metrics.h"
 #include "quest/recommendation_service.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -338,62 +337,20 @@ TEST_F(ClusterEquivalenceTest, RangeShardsMatchSingleNode) {
   }
 }
 
-TEST_F(ClusterEquivalenceTest, PrunedShardsMatchUnprunedSingleNodeReplay) {
-  // Pruning-on 3-shard replay against a pruning-OFF single node: proves in
-  // one sweep that neither the frequency-sorted ordinal remap nor the
-  // block-skipping threshold changes a single cross-shard merge — codes,
-  // score bits, and ordinal tie-breaking all bit-identical (hash + range).
-  RecommendationService::Options unpruned_options;
-  unpruned_options.prune_topk = false;
-  RecommendationService unpruned(&world_->taxonomy(), unpruned_options);
-  ASSERT_TRUE(unpruned.Train(*corpus_).ok());
-
-  for (const char* sharder_name : {"hash", "range"}) {
-    auto shards = TrainShards(sharder_name, 3);  // prune_topk defaults on.
-    auto sharder = MakeSharder(sharder_name, 3);
-    ASSERT_NE(sharder, nullptr);
-    size_t mismatches = 0;
-    std::string first;
-    for (const auto& bundle : corpus_->bundles) {
-      auto want = unpruned.Recommend(bundle);
-      ASSERT_TRUE(want.ok()) << want.status();
-      auto got = ClusterRecommend(shards, *sharder, bundle);
-      if (!SameRecommendation(want.ValueOrDie(), got)) {
-        if (++mismatches == 1) first = bundle.reference_number;
-      }
-    }
-    for (int i = 0; i < 6; ++i) {
-      kb::DataBundle probe =
-          corpus_->bundles[(i * 53) % corpus_->bundles.size()];
-      probe.part_id = "ZZ-PRUNED-" + std::to_string(i);
-      auto want = unpruned.Recommend(probe);
-      ASSERT_TRUE(want.ok()) << want.status();
-      auto got = ClusterRecommend(shards, *sharder, probe);
-      if (!SameRecommendation(want.ValueOrDie(), got)) {
-        if (++mismatches == 1) first = probe.part_id;
-      }
-    }
-    EXPECT_EQ(mismatches, 0u)
-        << sharder_name << "/3 pruned cluster diverged from the unpruned "
-        << "single node; first at " << first;
-  }
-}
-
-/// Index-level version with a corpus engineered so the pruned scorer
-/// *provably skips blocks inside the slices* (30 full-overlap contenders +
-/// 300 hopeless light nodes per part): sliced pruned partials, mapped
-/// through kept-node global ordinals, must merge to exactly what the
-/// unrestricted index computes without pruning.
-TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
+/// Index-level scatter-gather over 1..4 hash shards: per-shard slices
+/// (FrozenIndex::Build with a part filter), their partials mapped through
+/// kept_nodes to global ordinals, must merge to exactly what the
+/// unrestricted index computes — every measure, known and unknown parts.
+TEST(ShardedIndexTest, SlicedPartialsMergeExactlyOverOneToFourShards) {
   kb::KnowledgeBase knowledge;
-  const std::vector<std::string> parts = {"PART-A", "PART-B", "PART-C"};
+  const std::vector<std::string> parts = {"PART-A", "PART-B", "PART-C",
+                                          "PART-D", "PART-E"};
   const std::vector<int64_t> heavy = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   for (const std::string& part : parts) {
     // Tie-heavy contenders: 30 distinct nodes with identical feature sets
-    // (identical scores), so cross-shard dedup has real ordinal ties to
-    // break. Codes must be distinct — AddInstance merges identical
-    // (part, code, features) triples, and merged nodes would leave the
-    // short runs too small to ever arm the pruning threshold.
+    // (identical scores), so the merge has real ordinal ties to break.
+    // Codes must be distinct: AddInstance merges identical
+    // (part, code, features) triples.
     for (int i = 0; i < 30; ++i) {
       knowledge.AddInstance(part, "H" + std::to_string(i), heavy);
     }
@@ -403,27 +360,7 @@ TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
     }
   }
   kb::FrozenIndex full = kb::FrozenIndex::Build(knowledge);
-
-  HashSharder sharder(3);
-  std::vector<kb::FrozenIndex> slices;
-  std::vector<std::vector<uint32_t>> kept(3);
-  for (uint32_t s = 0; s < 3; ++s) {
-    slices.push_back(kb::FrozenIndex::Build(
-        knowledge,
-        [&sharder, s](const std::string& part) {
-          return sharder.ShardFor(part) == s;
-        },
-        &kept[s]));
-  }
-
-  core::RankedKnnClassifier pruned(
-      {core::SimilarityMeasure::kJaccard, 25, true});
-  core::RankedKnnClassifier unpruned(
-      {core::SimilarityMeasure::kJaccard, 25, false});
   kb::FrozenIndex::Scratch scratch;
-  obs::Counter* blocks_skipped =
-      obs::Registry::Global().GetCounter("qatk_prune_blocks_skipped_total");
-  const uint64_t skipped_before = blocks_skipped->Value();
 
   // Turns the scratch heap into a ShardPartial, mapping local node indices
   // to global ordinals (identity for the unrestricted index).
@@ -440,60 +377,72 @@ TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
     return partial;
   };
 
-  std::vector<std::vector<int64_t>> probes = {
+  const std::vector<std::vector<int64_t>> probes = {
       heavy, {0}, {0, 3, 7}, {1, 2}, {}, {0, 500}};
   std::vector<std::string> probe_parts = parts;
   probe_parts.push_back("NO-SUCH-PART");
-  for (const std::string& part : probe_parts) {
-    for (const std::vector<int64_t>& features : probes) {
-      // Reference: the unrestricted index, pruning off, one partial.
-      const bool known =
-          unpruned.SelectTopNodes(full, part, features, &scratch);
-      auto want = MergePartials({to_partial(full, known, nullptr, scratch)},
-                                25, 10);
+  for (uint32_t n = 1; n <= 4; ++n) {
+    HashSharder sharder(n);
+    std::vector<kb::FrozenIndex> slices;
+    std::vector<std::vector<uint32_t>> kept(n);
+    for (uint32_t s = 0; s < n; ++s) {
+      slices.push_back(kb::FrozenIndex::Build(
+          knowledge,
+          [&sharder, s](const std::string& part) {
+            return sharder.ShardFor(part) == s;
+          },
+          &kept[s]));
+    }
+    for (core::SimilarityMeasure measure :
+         {core::SimilarityMeasure::kJaccard, core::SimilarityMeasure::kOverlap,
+          core::SimilarityMeasure::kDice, core::SimilarityMeasure::kCosine}) {
+      const core::RankedKnnClassifier classifier({measure, 25});
+      for (const std::string& part : probe_parts) {
+        for (const std::vector<int64_t>& features : probes) {
+          const bool known =
+              classifier.SelectTopNodes(full, part, features, &scratch);
+          auto want = MergePartials(
+              {to_partial(full, known, nullptr, scratch)}, 25, 10);
 
-      // Cluster: owner probe when known, fallback scatter when not —
-      // pruning on inside every slice.
-      std::vector<RecommendationService::ShardPartial> partials;
-      const uint32_t owner = sharder.ShardFor(part);
-      if (pruned.SelectTopNodes(slices[owner], part, features, &scratch)) {
-        partials.push_back(
-            to_partial(slices[owner], true, &kept[owner], scratch));
-      } else {
-        for (uint32_t s = 0; s < 3; ++s) {
-          pruned.SelectTopNodes(slices[s], part, features, &scratch);
-          partials.push_back(to_partial(slices[s], false, &kept[s], scratch));
+          // Cluster: owner probe when known, fallback scatter when not.
+          std::vector<RecommendationService::ShardPartial> partials;
+          const uint32_t owner = sharder.ShardFor(part);
+          if (classifier.SelectTopNodes(slices[owner], part, features,
+                                        &scratch)) {
+            partials.push_back(
+                to_partial(slices[owner], true, &kept[owner], scratch));
+          } else {
+            for (uint32_t s = 0; s < n; ++s) {
+              classifier.SelectTopNodes(slices[s], part, features, &scratch);
+              partials.push_back(
+                  to_partial(slices[s], false, &kept[s], scratch));
+            }
+          }
+          auto got = MergePartials(partials, 25, 10);
+
+          const std::string where =
+              std::to_string(n) + " shards, " +
+              core::SimilarityMeasureToString(measure) + ", " + part;
+          ASSERT_EQ(want.known_part, got.known_part) << where;
+          ASSERT_EQ(want.recommendation.truncated,
+                    got.recommendation.truncated)
+              << where;
+          ASSERT_EQ(want.recommendation.top.size(),
+                    got.recommendation.top.size())
+              << where;
+          for (size_t i = 0; i < want.recommendation.top.size(); ++i) {
+            ASSERT_EQ(want.recommendation.top[i].error_code,
+                      got.recommendation.top[i].error_code)
+                << where << " rank " << i;
+            ASSERT_EQ(0, std::memcmp(&want.recommendation.top[i].score,
+                                     &got.recommendation.top[i].score,
+                                     sizeof(double)))
+                << where << " rank " << i;
+          }
         }
-      }
-      auto got = MergePartials(partials, 25, 10);
-
-      ASSERT_EQ(want.known_part, got.known_part) << part;
-      ASSERT_EQ(want.recommendation.truncated, got.recommendation.truncated)
-          << part;
-      ASSERT_EQ(want.recommendation.top.size(),
-                got.recommendation.top.size())
-          << part;
-      for (size_t i = 0; i < want.recommendation.top.size(); ++i) {
-        ASSERT_EQ(want.recommendation.top[i].error_code,
-                  got.recommendation.top[i].error_code)
-            << part << " rank " << i;
-        ASSERT_EQ(0, std::memcmp(&want.recommendation.top[i].score,
-                                 &got.recommendation.top[i].score,
-                                 sizeof(double)))
-            << part << " rank " << i;
       }
     }
   }
-  // The corpus was built to make pruning fire inside the slices; if this
-  // stops holding, the test is no longer exercising what it claims.
-#ifndef QATK_NO_METRICS
-  EXPECT_GT(blocks_skipped->Value(), skipped_before)
-      << "no block was ever skipped: the sliced corpora no longer trigger "
-      << "pruning";
-#else
-  (void)blocks_skipped;
-  (void)skipped_before;
-#endif
 }
 
 TEST_F(ClusterEquivalenceTest, ShardTopKProbeDoesNotScoreUnknownParts) {

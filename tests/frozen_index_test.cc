@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,44 +34,55 @@ std::vector<int64_t> RandomFeatureSet(Rng* rng, size_t max_size,
 }
 
 /// Asserts the indexed path reproduces the brute-force path bit for bit:
-/// same codes, same order, same score doubles, same candidate count — with
-/// the pruned (default) and unpruned top-k paths both checked.
+/// same codes, same order, same score bits, same candidate count.
 void ExpectEquivalent(const KnowledgeBase& knowledge, const FrozenIndex& index,
                       FrozenIndex::Scratch* scratch,
                       const std::string& part_id,
                       const std::vector<int64_t>& features, size_t max_nodes) {
   for (core::SimilarityMeasure measure : kAllMeasures) {
-    for (bool prune : {true, false}) {
-      core::RankedKnnClassifier classifier({measure, max_nodes, prune});
-      std::vector<core::ScoredCode> brute =
-          classifier.Classify(knowledge, part_id, features);
-      size_t num_candidates = 0;
-      std::vector<core::ScoredCode> indexed =
-          classifier.Classify(index, part_id, features, scratch,
-                              &num_candidates);
-      // These corpora have no run spanning a full posting block, so the
-      // pruned path never skips and the touched set is the exact brute
-      // candidate set on both paths.
-      ASSERT_EQ(knowledge.SelectCandidates(part_id, features).size(),
-                num_candidates)
-          << "candidate-count mismatch, part=" << part_id;
-      ASSERT_EQ(brute.size(), indexed.size())
-          << "rank-length mismatch, measure="
-          << core::SimilarityMeasureToString(measure) << " part=" << part_id
-          << " prune=" << prune;
-      for (size_t i = 0; i < brute.size(); ++i) {
-        ASSERT_EQ(brute[i].error_code, indexed[i].error_code)
-            << "code mismatch at rank " << i << ", measure="
-            << core::SimilarityMeasureToString(measure)
-            << " prune=" << prune;
-        // Bit-identical, not approximately equal: both paths must perform
-        // the same double operations on the same (shared, |A|, |B|) counts.
-        ASSERT_EQ(brute[i].score, indexed[i].score)
-            << "score mismatch at rank " << i << ", measure="
-            << core::SimilarityMeasureToString(measure)
-            << " prune=" << prune;
-      }
+    core::RankedKnnClassifier classifier({measure, max_nodes});
+    std::vector<core::ScoredCode> brute =
+        classifier.Classify(knowledge, part_id, features);
+    size_t num_candidates = 0;
+    std::vector<core::ScoredCode> indexed =
+        classifier.Classify(index, part_id, features, scratch,
+                            &num_candidates);
+    ASSERT_EQ(knowledge.SelectCandidates(part_id, features).size(),
+              num_candidates)
+        << "candidate-count mismatch, part=" << part_id;
+    ASSERT_EQ(brute.size(), indexed.size())
+        << "rank-length mismatch, measure="
+        << core::SimilarityMeasureToString(measure) << " part=" << part_id
+        << " max_nodes=" << max_nodes;
+    for (size_t i = 0; i < brute.size(); ++i) {
+      ASSERT_EQ(brute[i].error_code, indexed[i].error_code)
+          << "code mismatch at rank " << i << ", measure="
+          << core::SimilarityMeasureToString(measure)
+          << " max_nodes=" << max_nodes;
+      // Bit-identical, not approximately equal: both paths must perform
+      // the same double operations on the same (shared, |A|, |B|) counts.
+      ASSERT_EQ(0, std::memcmp(&brute[i].score, &indexed[i].score,
+                               sizeof(double)))
+          << "score bits mismatch at rank " << i << ", measure="
+          << core::SimilarityMeasureToString(measure)
+          << " max_nodes=" << max_nodes << ", brute=" << brute[i].score
+          << ", indexed=" << indexed[i].score;
     }
+  }
+}
+
+/// ExpectEquivalent at every top-k budget worth telling apart: 1 (only the
+/// id tie-break decides among equal scores), 3, 10, the paper's 25, and
+/// one past the node count (every candidate survives).
+void ExpectEquivalentAtEveryK(const KnowledgeBase& knowledge,
+                              const FrozenIndex& index,
+                              FrozenIndex::Scratch* scratch,
+                              const std::string& part_id,
+                              const std::vector<int64_t>& features) {
+  for (size_t max_nodes : {size_t{1}, size_t{3}, size_t{10}, size_t{25},
+                           index.num_nodes() + 1}) {
+    ExpectEquivalent(knowledge, index, scratch, part_id, features, max_nodes);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -244,6 +256,102 @@ TEST(FrozenIndexEquivalenceTest, SingletonNodesMatchBruteForce) {
                      {i, i + 100}, 25);
   }
   ExpectEquivalent(knowledge, index, &scratch, "GHOST", {5, 105}, 25);
+}
+
+/// Tie-heavy corpora with long, dense posting runs: tiny feature domains
+/// make nearly every pair of nodes collide, and hundreds of instances in
+/// few parts give runs of several hundred postings. Unknown parts and
+/// empty probes ride along.
+TEST(FrozenIndexEquivalenceTest, DenseTieHeavyCorporaMatchBruteForce) {
+  Rng rng(0x9121BADF00DULL);
+  FrozenIndex::Scratch scratch;  // Deliberately shared across corpora.
+  const size_t kCorpora = 220;
+  for (size_t c = 0; c < kCorpora; ++c) {
+    const size_t num_parts = 1 + rng.NextBounded(3);
+    const size_t num_codes = 1 + rng.NextBounded(8);
+    const int64_t feature_domain =
+        2 + static_cast<int64_t>(rng.NextBounded(11));
+    const size_t num_instances = 40 + rng.NextBounded(201);
+    KnowledgeBase knowledge;
+    for (size_t i = 0; i < num_instances; ++i) {
+      knowledge.AddInstance(
+          "P" + std::to_string(rng.NextBounded(num_parts)),
+          "E" + std::to_string(rng.NextBounded(num_codes)),
+          RandomFeatureSet(&rng, 8, feature_domain));
+    }
+    FrozenIndex index = FrozenIndex::Build(knowledge);
+
+    for (size_t p = 0; p < 8; ++p) {
+      const std::string part_id =
+          rng.NextBernoulli(0.25)
+              ? "GHOST" + std::to_string(rng.NextBounded(3))
+              : "P" + std::to_string(rng.NextBounded(num_parts));
+      const std::vector<int64_t> features =
+          p % 5 == 0 ? std::vector<int64_t>{}
+                     : RandomFeatureSet(&rng, 6, feature_domain);
+      ExpectEquivalentAtEveryK(knowledge, index, &scratch, part_id, features);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "corpus " << c << " probe " << p << " diverged";
+      }
+    }
+  }
+}
+
+/// More equal-score nodes than max_nodes: 150 nodes with identical feature
+/// sets (distinct codes, so nothing merges) all score the same, and only
+/// the node-id tie-break decides which of them make the top list.
+TEST(FrozenIndexEquivalenceTest, MoreEqualScoresThanMaxNodesKeepIdTieBreak) {
+  KnowledgeBase knowledge;
+  for (int i = 0; i < 150; ++i) {
+    knowledge.AddInstance("P0", "E" + std::to_string(i), {1, 2, 3});
+  }
+  FrozenIndex index = FrozenIndex::Build(knowledge);
+  FrozenIndex::Scratch scratch;
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", {1, 2, 3});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", {1, 3});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", {2});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "GHOST", {1});
+}
+
+/// Singleton and empty postings and feature sets: parts with one node,
+/// nodes with no features, features with one posting, probes that match
+/// nothing, and empty probes on known and unknown parts.
+TEST(FrozenIndexEquivalenceTest, SingletonAndEmptyPostingsMatchBruteForce) {
+  KnowledgeBase knowledge;
+  knowledge.AddInstance("P0", "E0", {});     // Featureless node.
+  knowledge.AddInstance("P1", "E1", {7});    // Singleton posting.
+  for (int i = 0; i < 130; ++i) {            // One long-run part besides.
+    knowledge.AddInstance("P2", "E" + std::to_string(i % 4), {7, 9, i % 3});
+  }
+  FrozenIndex index = FrozenIndex::Build(knowledge);
+  FrozenIndex::Scratch scratch;
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", {7});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P1", {7});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P2", {7, 9});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P2", {});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P2", {1000});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "GHOST", {7});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "GHOST", {});
+}
+
+/// Posting runs far longer than 64 entries in a single part: 30 nodes
+/// that match the probe fully and 500 that share only feature 0, so that
+/// feature's run holds 530 postings.
+TEST(FrozenIndexEquivalenceTest, LongPostingRunsMatchBruteForce) {
+  KnowledgeBase knowledge;
+  const std::vector<int64_t> probe = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  for (int i = 0; i < 30; ++i) {
+    knowledge.AddInstance("P0", "HEAVY" + std::to_string(i), probe);
+  }
+  for (int i = 0; i < 500; ++i) {
+    knowledge.AddInstance("P0", "LIGHT" + std::to_string(i), {0, 100 + i});
+  }
+  FrozenIndex index = FrozenIndex::Build(knowledge);
+  FrozenIndex::Scratch scratch;
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", probe);
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", {0});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "P0", {0, 100, 599});
+  ExpectEquivalentAtEveryK(knowledge, index, &scratch, "GHOST", probe);
 }
 
 }  // namespace

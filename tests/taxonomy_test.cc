@@ -297,7 +297,7 @@ TEST(TrieConceptAnnotatorTest, SynonymsCollapseToSameConcept) {
   Taxonomy taxonomy = TestTaxonomy();
   // The paper's example: "mud guard", "splashboard" and "fender" all map to
   // the same concept id.
-  for (const std::string& doc :
+  for (const char* doc :
        {"mud guard damaged", "splashboard damaged", "fender damaged"}) {
     cas::Cas c = Annotate(taxonomy, doc);
     EXPECT_EQ(ConceptIds(c), std::vector<int64_t>{101}) << doc;
@@ -408,8 +408,8 @@ TEST(LegacyConceptAnnotatorTest, MatchesExactGermanSurfaceOnly) {
 
 TEST(LegacyConceptAnnotatorTest, MissesCaseAndSpellingVariants) {
   Taxonomy taxonomy = TestTaxonomy();
-  for (const std::string& doc : {"LÜFTER defekt", "Luefter defekt",
-                                 "luefter kaputt"}) {
+  for (const char* doc : {"LÜFTER defekt", "Luefter defekt",
+                          "luefter kaputt"}) {
     cas::Cas c(doc);
     cas::TokenizerAnnotator tokenizer;
     QATK_CHECK_OK(tokenizer.Process(&c));
